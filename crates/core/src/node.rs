@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use qsel_detector::{FailureDetector, FdConfig, FdOutput};
+use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
 use qsel_simnet::{Actor, Context, SimDuration, SimTime, TimerId};
 use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::encode::Encode;
@@ -134,6 +134,7 @@ pub struct SelectorNode {
     signer: Signer,
     verifier: Verifier,
     fd: FailureDetector<ServiceMsg>,
+    polls: PollSchedule,
     selector: Selector,
     hb_seq: u64,
     history: Vec<(SimTime, QuorumEvent)>,
@@ -193,6 +194,7 @@ impl SelectorNode {
             signer: chain.signer(me),
             verifier: chain.verifier(),
             fd: FailureDetector::new(me, cfg.n(), node_cfg.fd.clone()),
+            polls: PollSchedule::new(),
             selector,
             hb_seq: 0,
             history: Vec::new(),
@@ -293,12 +295,7 @@ impl SelectorNode {
     }
 
     fn rearm_fd_timer(&mut self, ctx: &mut Context<'_, ServiceMsg>) {
-        if let Some(deadline) = self.fd.next_deadline() {
-            let delay = if deadline > ctx.now() {
-                deadline - ctx.now() + SimDuration::micros(1)
-            } else {
-                SimDuration::micros(1)
-            };
+        if let Some(delay) = self.polls.arm(ctx.now(), self.fd.next_deadline()) {
             ctx.set_timer(delay, TIMER_FD_POLL);
         }
     }
@@ -403,12 +400,19 @@ impl Actor<ServiceMsg> for SelectorNode {
         match timer {
             TIMER_HEARTBEAT => self.heartbeat_tick(ctx),
             TIMER_FD_POLL => {
+                self.polls.fired(ctx.now());
                 let outs = self.fd.poll(ctx.now());
                 self.pump(ctx, Work::Fd(outs));
             }
             // lint: allow(S2, timers are armed only by this node; an unknown id is a harness bug best surfaced loudly)
             other => unreachable!("unknown timer {other:?}"),
         }
+    }
+
+    fn on_recover(&mut self, _ctx: &mut Context<'_, ServiceMsg>) {
+        // Pending polls died with the previous incarnation; the next
+        // event re-arms from the detector's deadline.
+        self.polls.reset();
     }
 }
 

@@ -25,6 +25,8 @@
 //!
 //! The detector is a sans-io state machine: the host (see `qsel::node`)
 //! feeds it receptions and the current time, and forwards its outputs.
+//! Hosts schedule their poll timers through [`PollSchedule`], which arms
+//! at most one poll per simulated instant.
 //!
 //! # Example
 //!
@@ -54,7 +56,9 @@
 #![warn(missing_docs)]
 
 mod detector;
+mod poll;
 mod timeout;
 
 pub use detector::{FailureDetector, FdConfig, FdOutput, FdStats};
+pub use poll::PollSchedule;
 pub use timeout::TimeoutPolicy;

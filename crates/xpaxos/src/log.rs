@@ -5,6 +5,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use qsel_mmr::{leaf_hash, Mmr, MmrError};
+use qsel_types::crypto::Digest;
 use qsel_types::{CheckpointPayload, ProcessId, ProcessSet};
 
 use crate::messages::{Batch, Request, SignedCommit, SignedPrepare};
@@ -32,16 +33,26 @@ pub struct Slot {
     pub committed_by_us: bool,
     /// Whether the commit certificate is complete.
     pub decided: bool,
+    /// Digest of the prepare's batch, hashed once when the slot is
+    /// admitted (the COMMIT rule and execution compare against it).
+    digest: Digest,
 }
 
 impl Slot {
+    // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
     fn new(prepare: SignedPrepare) -> Self {
         Slot {
+            digest: prepare.payload.batch.digest(),
             prepare,
             commits: BTreeMap::new(),
             committed_by_us: false,
             decided: false,
         }
+    }
+
+    /// Digest of the accepted prepare's batch.
+    pub fn digest(&self) -> Digest {
+        self.digest
     }
 }
 
@@ -95,31 +106,34 @@ impl Log {
         self.assigned.get(&(req.client, req.op)).copied()
     }
 
-    /// Records a PREPARE for its slot. Returns `false` (and changes
-    /// nothing) if the slot already holds a *different* prepare — the
-    /// caller decides whether that means equivocation (same view) or a
-    /// legitimate re-proposal (higher view, which replaces the entry).
+    /// Records a PREPARE for its slot and returns its batch digest.
+    /// Returns `None` (and changes nothing) if the slot already holds a
+    /// *different* prepare — the caller decides whether that means
+    /// equivocation (same view) or a legitimate re-proposal (higher view,
+    /// which replaces the entry).
     // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
-    pub fn accept_prepare(&mut self, prepare: SignedPrepare) -> bool {
+    pub fn accept_prepare(&mut self, prepare: SignedPrepare) -> Option<Digest> {
         let slot_no = prepare.payload.slot;
         match self.slots.get_mut(&slot_no) {
             None => {
                 assign_batch(&mut self.assigned, &prepare);
-                self.slots.insert(slot_no, Slot::new(prepare));
-                true
+                let slot = Slot::new(prepare);
+                let digest = slot.digest;
+                self.slots.insert(slot_no, slot);
+                Some(digest)
             }
             Some(existing) => {
                 if existing.prepare == prepare {
-                    true
+                    Some(existing.digest)
                 } else if prepare.payload.view > existing.prepare.payload.view
                     && !existing.decided
                 {
                     // Re-proposal in a later view supersedes.
                     assign_batch(&mut self.assigned, &prepare);
                     *existing = Slot::new(prepare);
-                    true
+                    Some(existing.digest)
                 } else {
-                    false
+                    None
                 }
             }
         }
@@ -149,7 +163,7 @@ impl Log {
         let Some(s) = self.slots.get_mut(&slot) else {
             return false;
         };
-        let matches = s.prepare.payload.batch.digest() == commit.payload.digest;
+        let matches = s.digest == commit.payload.digest;
         s.commits.insert(commit.signer, commit);
         matches
     }
@@ -170,7 +184,7 @@ impl Log {
         if s.decided {
             return false;
         }
-        let want = s.prepare.payload.batch.digest();
+        let want = s.digest;
         let all_in = quorum.iter().filter(|p| *p != leader).all(|p| {
             if p == me {
                 s.committed_by_us
@@ -197,7 +211,7 @@ impl Log {
             if !s.decided {
                 break;
             }
-            let batch_digest = s.prepare.payload.batch.digest();
+            let batch_digest = s.digest;
             for req in s.prepare.payload.batch.reqs.clone() {
                 if self.executed_ops.insert((req.client, req.op)) {
                     self.state = self
@@ -529,12 +543,14 @@ mod tests {
         let c = chain();
         let mut log = Log::new();
         let p = prep(&c, 1, 0, 0, 5);
-        assert!(log.accept_prepare(p.clone()));
-        assert!(log.accept_prepare(p.clone())); // idempotent
+        let digest = Some(p.payload.batch.digest());
+        assert_eq!(log.accept_prepare(p.clone()), digest);
+        assert_eq!(log.accept_prepare(p.clone()), digest); // idempotent
+        assert_eq!(log.slot(0).map(Slot::digest), digest);
         assert_eq!(log.slot_of(&p.payload.batch.reqs[0]), Some(0));
         // Conflicting prepare in the same view is rejected.
         let conflicting = prep(&c, 1, 0, 0, 6);
-        assert!(!log.accept_prepare(conflicting));
+        assert!(log.accept_prepare(conflicting).is_none());
     }
 
     #[test]
@@ -543,7 +559,7 @@ mod tests {
         let mut log = Log::new();
         log.accept_prepare(prep(&c, 1, 0, 0, 5));
         let newer = prep(&c, 2, 3, 0, 7);
-        assert!(log.accept_prepare(newer.clone()));
+        assert!(log.accept_prepare(newer.clone()).is_some());
         assert_eq!(log.prepare_at(0), Some(&newer));
     }
 

@@ -23,13 +23,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use qsel::{QsOutput, QuorumSelection};
-use qsel_detector::{FailureDetector, FdConfig, FdOutput};
+use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
 use qsel_types::crypto::{Keychain, Signer, Verifier};
 use qsel_types::{thresholds, CheckpointPayload, ClusterConfig, ProcessId, Quorum};
 
-use crate::log::Log;
+use crate::log::{Log, Slot};
 use crate::messages::{
     Batch, CheckpointCert, CommitPayload, CompactEntry, DecidedEntry, HeartbeatPayload,
     NewViewPayload, PreparePayload, Reply, Request, SignedCheckpoint, SignedCommit, SignedNewView,
@@ -192,6 +192,8 @@ pub struct Replica {
     verifier: Verifier,
     views: ViewPolicy,
     fd: FailureDetector<XpMsg>,
+    /// Instants at which a `TIMER_FD_POLL` of this incarnation is pending.
+    polls: PollSchedule,
     qs: Option<QuorumSelection>,
     log: Log,
     view: u64,
@@ -282,6 +284,7 @@ impl Replica {
             verifier: chain.verifier(),
             views: ViewPolicy::new(&cfg),
             fd: FailureDetector::new(me, cfg.n(), rcfg.fd.clone()),
+            polls: PollSchedule::new(),
             qs,
             log,
             view: 0,
@@ -414,6 +417,8 @@ impl Replica {
     pub fn handle_recover(&mut self, ctx: &mut Context<'_, XpMsg>) {
         self.stats.recoveries += 1;
         let now = ctx.now();
+        // Poll timers of the previous incarnation will never fire.
+        self.polls.reset();
         let mut outs = Outs::default();
         let fd_out = self.fd.cancel_all(now);
         self.pump_fd(now, fd_out, &mut outs);
@@ -556,6 +561,7 @@ impl Replica {
         let mut outs = Outs::default();
         match timer {
             TIMER_FD_POLL => {
+                self.polls.fired(ctx.now());
                 let fd_out = self.fd.poll(ctx.now());
                 self.pump_fd(ctx.now(), fd_out, &mut outs);
             }
@@ -819,14 +825,24 @@ impl Replica {
         self.process_prepare_locally(now, sp, outs);
     }
 
+    // lint: allow(S1, σ verified by authenticate in handle_message before FD dispatch; the embedded PREPARE is verified below unless bit-identical to the admitted one, which was verified on admission)
     fn on_commit(&mut self, now: qsel_simnet::SimTime, sc: SignedCommit, outs: &mut Outs) {
         // Malformed COMMIT: authenticated but without a valid embedded
-        // PREPARE → the sender is detected (paper §V-A).
-        let embedded_ok = self.verifier.verify(&sc.payload.prepare).is_ok()
-            && sc.payload.prepare.payload.view == sc.payload.view
-            && sc.payload.prepare.payload.slot == sc.payload.slot
-            && sc.payload.prepare.signer == self.views.leader(sc.payload.view)
-            && sc.payload.digest == sc.payload.prepare.payload.batch.digest();
+        // PREPARE → the sender is detected (paper §V-A). An embedded
+        // PREPARE bit-identical to the one admitted at its slot (payload,
+        // signer and tag) passed this signature check on admission, so
+        // that check and the slot's digest are reused.
+        let embedded = &sc.payload.prepare;
+        let admitted = self
+            .log
+            .slot(sc.payload.slot)
+            .filter(|s| s.prepare == *embedded)
+            .map(Slot::digest);
+        let embedded_ok = (admitted.is_some() || self.verifier.verify(embedded).is_ok())
+            && embedded.payload.view == sc.payload.view
+            && embedded.payload.slot == sc.payload.slot
+            && embedded.signer == self.views.leader(sc.payload.view)
+            && sc.payload.digest == admitted.unwrap_or_else(|| embedded.payload.batch.digest());
         if !embedded_ok {
             self.detect(now, sc.signer, outs);
             return;
@@ -870,28 +886,29 @@ impl Replica {
             // issue an expectation for a commit we already consumed).
             self.log.accept_prepare(sc.payload.prepare.clone());
         }
+        let from = sc.signer;
+        let view = sc.payload.view;
+        let prepare = sc.payload.prepare.clone();
         let fresh_vote = !self
             .log
             .slot(slot)
-            .is_some_and(|s| s.commits.contains_key(&sc.signer));
-        self.log.record_commit(slot, sc.clone());
+            .is_some_and(|s| s.commits.contains_key(&from));
+        self.log.record_commit(slot, sc);
         if fresh_vote {
             // Quorum-formation timing: a previously-unseen vote for an
             // undecided slot (the first-to-last gap is the straggler gap).
             let have = self.log.slot(slot).map_or(0, |s| s.commits.len() as u64);
-            let from = sc.signer.0;
             self.trace.emit(|| TraceEvent::CommitVote {
                 p: self.me.0,
                 slot,
-                from,
+                from: from.0,
                 have,
             });
         }
-        self.process_prepare_locally(now, sc.payload.prepare.clone(), outs);
+        self.process_prepare_locally(now, prepare, outs);
         if !had_prepare {
             // Fig. 3: COMMIT overtook the PREPARE — expect the PREPARE
             // from the leader (third subtlety).
-            let view = sc.payload.view;
             let leader = self.views.leader(view);
             self.fd.expect(now, leader, "overtaken-prepare", move |m| {
                 matches!(
@@ -929,7 +946,7 @@ impl Replica {
                         let commit = self.signer.sign(CommitPayload {
                             view,
                             slot,
-                            digest: sp.payload.batch.digest(),
+                            digest: existing.digest(),
                             prepare: sp,
                         });
                         for k in members.iter() {
@@ -950,14 +967,14 @@ impl Replica {
                 return;
             }
         }
-        if !self.log.accept_prepare(sp.clone()) {
+        let Some(digest) = self.log.accept_prepare(sp.clone()) else {
             return; // older-view prepare; ignore
-        }
+        };
         if self.me != leader && !self.log.slot(slot).is_some_and(|s| s.committed_by_us) {
             let commit = self.signer.sign(CommitPayload {
                 view,
                 slot,
-                digest: sp.payload.batch.digest(),
+                digest,
                 prepare: sp,
             });
             for k in members.iter() {
@@ -1008,7 +1025,7 @@ impl Replica {
             if !self.rcfg.batch.is_passthrough() {
                 if let Some(s) = self.log.slot(slot) {
                     let size = s.prepare.payload.batch.len() as u64;
-                    let digest = digest_fingerprint(&s.prepare.payload.batch.digest());
+                    let digest = digest_fingerprint(&s.digest());
                     self.trace.emit(|| TraceEvent::BatchCommitted {
                         p: self.me.0,
                         slot,
@@ -2253,12 +2270,7 @@ impl Replica {
         for (after, id) in outs.timers {
             ctx.set_timer(after, id);
         }
-        if let Some(deadline) = self.fd.next_deadline() {
-            let delay = if deadline > ctx.now() {
-                deadline - ctx.now() + SimDuration::micros(1)
-            } else {
-                SimDuration::micros(1)
-            };
+        if let Some(delay) = self.polls.arm(ctx.now(), self.fd.next_deadline()) {
             ctx.set_timer(delay, TIMER_FD_POLL);
         }
     }

@@ -2,9 +2,11 @@
 //! safe under every fault class of the paper's Section II and stay live
 //! (commit client operations) whenever a correct quorum can be selected.
 
+use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{LinkState, SimDuration, SimTime};
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{assert_safety, total_committed, ClusterBuilder, Equivocator, XpActor};
+use qsel_xpaxos::messages::{Batch, CommitPayload, PreparePayload, Request, SignedPrepare, XpMsg};
 use qsel_xpaxos::replica::{QuorumPolicy, ReplicaConfig};
 
 fn cfg(n: u32, f: u32) -> ClusterConfig {
@@ -271,6 +273,88 @@ fn equivocating_leader_detected_and_replaced() {
         .map(|p| sim.actor(*p).replica().unwrap().stats().detections)
         .sum();
     assert!(detections >= 1);
+}
+
+/// `⟨DETECTED⟩` events raised by `p` against `against` in a trace.
+fn detections(sink: &TraceSink, p: u32, against: u32) -> usize {
+    sink.records()
+        .iter()
+        .filter(|r| r.event == TraceEvent::DetectionRaised { p, against })
+        .count()
+}
+
+/// A COMMIT from p3 to p2 for slot 0 of view 0 embeds `prepare`. p2
+/// admitted slot 0's PREPARE before the COMMIT arrives, so its check of
+/// the embedded PREPARE may reuse the admission check only when the two
+/// are bit-identical; every other embedded PREPARE is verified and a
+/// mismatch is detected as before. `make` builds the embedded PREPARE
+/// from the admitted one; returns the run's trace.
+fn commit_embedding(
+    make: impl FnOnce(&SignedPrepare, &qsel_types::crypto::Keychain) -> SignedPrepare,
+) -> TraceSink {
+    let sink = TraceSink::unbounded();
+    let builder = ClusterBuilder::new(cfg(4, 1), 5)
+        .clients(1, 1)
+        .trace_sink(sink.clone());
+    let chain = builder.keychain();
+    let mut sim = builder.build();
+    sim.run_until(SimTime::from_micros(5_000));
+    assert_eq!(total_committed(&sim), 1);
+    let admitted = sim.actor(ProcessId(2)).replica().unwrap().log().prepare_at(0).unwrap().clone();
+    let prepare = make(&admitted, &chain);
+    let commit = chain.signer(ProcessId(3)).sign(CommitPayload {
+        view: 0,
+        slot: 0,
+        digest: prepare.payload.batch.digest(),
+        prepare,
+    });
+    let now = sim.now();
+    sim.inject_at(now, ProcessId(3), ProcessId(2), XpMsg::Commit(commit));
+    sim.run_until(now + SimDuration::millis(1));
+    sink
+}
+
+#[test]
+fn commit_embedding_admitted_prepare_is_accepted() {
+    let sink = commit_embedding(|admitted, _| admitted.clone());
+    assert_eq!(detections(&sink, 2, 1) + detections(&sink, 2, 3), 0);
+}
+
+#[test]
+fn commit_embedding_a_different_valid_prepare_detects_the_leader() {
+    // A second PREPARE validly signed by the view-0 leader for the same
+    // slot but another batch: leader equivocation.
+    let sink = commit_embedding(|admitted, chain| {
+        let mut req: Request = admitted.payload.batch.reqs[0].clone();
+        req.payload += 1;
+        chain.signer(ProcessId(1)).sign(PreparePayload {
+            view: 0,
+            slot: 0,
+            batch: Batch::single(req),
+        })
+    });
+    assert_eq!(detections(&sink, 2, 1), 1);
+    assert_eq!(detections(&sink, 2, 3), 0);
+}
+
+#[test]
+fn commit_embedding_admitted_payload_with_a_forged_tag_detects_the_sender() {
+    // The admitted payload and signer, but the signature tag of another
+    // message: not bit-identical, so it is verified, fails, and the
+    // COMMIT's sender is detected.
+    let sink = commit_embedding(|admitted, chain| {
+        let other = chain.signer(ProcessId(1)).sign(PreparePayload {
+            view: 0,
+            slot: 1,
+            batch: admitted.payload.batch.clone(),
+        });
+        SignedPrepare {
+            tag: other.tag,
+            ..admitted.clone()
+        }
+    });
+    assert_eq!(detections(&sink, 2, 3), 1);
+    assert_eq!(detections(&sink, 2, 1), 0);
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! run of the default 5-replica cluster must be byte-identical run after
 //! run and against the committed goldens under `tests/golden/`, compared
 //! byte-for-byte by `default_policy_traces_are_byte_identical_to_goldens`.
-//! The goldens track the current trace vocabulary — most recently the
-//! causal-span events (`batch_admitted`, `req_proposed`, `commit_vote`,
-//! `reply_sent`) of DESIGN.md §14.
+//! The goldens track the current trace vocabulary — the causal-span
+//! events (`batch_admitted`, `req_proposed`, `commit_vote`,
+//! `reply_sent`) of DESIGN.md §14 — and the FD poll schedule, which fires
+//! one `timer_fired` per poll instant (DESIGN.md §5).
 //!
 //! Usage:
 //!

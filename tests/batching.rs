@@ -118,7 +118,9 @@ proptest! {
 /// trace byte for byte: batching must be invisible unless switched on,
 /// and the trace vocabulary must not drift by accident. Regenerate the
 /// goldens only for a deliberate, reviewed event-vocabulary change (the
-/// causal-span events of DESIGN.md §14 were one such change).
+/// causal-span events of DESIGN.md §14 were one such change) or a
+/// host-side change that drops events but keeps the protocol's (arming
+/// one FD poll per instant removed `timer_fired` records, DESIGN.md §5).
 #[test]
 fn default_policy_traces_are_byte_identical_to_goldens() {
     for seed in [7u64, 21] {

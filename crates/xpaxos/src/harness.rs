@@ -543,6 +543,11 @@ impl ClusterBuilder {
 
     /// The keychain the built cluster will use (for crafting Byzantine
     /// actors that must share it).
+    ///
+    /// Each call returns the same keys with a verify memo of its own, so
+    /// signatures made through it are checked in full by the cluster.
+    /// Actors built through [`ClusterBuilder::build_with`] share the
+    /// cluster's keychain, and with it the cluster's memo.
     pub fn keychain(&self) -> Keychain {
         Keychain::new(&self.cfg, self.seed)
     }

@@ -179,7 +179,7 @@ impl ViewPolicy {
     }
 
     /// Inverse of [`Self::rank`].
-    fn unrank(&self, mut index: u64) -> ProcessSet {
+    fn unrank(&self, index: u64) -> ProcessSet {
         let mut set = ProcessSet::new();
         let mut next = 0u32; // zero-based candidate
         let mut remaining = self.q;
@@ -195,8 +195,6 @@ impl ViewPolicy {
             next += 1;
             assert!(next <= self.n, "unrank index out of range");
         }
-        index = idx as u64;
-        let _ = index;
         set
     }
 }
@@ -252,7 +250,7 @@ mod tests {
         let p = ViewPolicy::new(&cfg(7, 2)); // q = 5, C(7,5) = 21
         for v in 0..21u64 {
             let g = p.group(v);
-            assert_eq!(p.rank(g.members()) as u64, v, "view {v}");
+            assert_eq!(p.rank(g.members()), v, "view {v}");
         }
     }
 

@@ -197,6 +197,8 @@ pub struct Replica {
     qs: Option<QuorumSelection>,
     log: Log,
     view: u64,
+    /// The quorum of `view`, kept in step with it (see [`Replica::group_of`]).
+    quorum: Quorum,
     phase: Phase,
     next_slot: u64,
     vc_gen: u64,
@@ -288,6 +290,7 @@ impl Replica {
             qs,
             log,
             view: 0,
+            quorum: Quorum::initial(&cfg),
             phase: Phase::Normal,
             next_slot: 0,
             vc_gen: 0,
@@ -340,12 +343,12 @@ impl Replica {
 
     /// The active quorum of the current view.
     pub fn active_quorum(&self) -> Quorum {
-        self.views.group(self.view)
+        self.quorum
     }
 
     /// The current leader.
     pub fn leader(&self) -> ProcessId {
-        self.views.leader(self.view)
+        self.quorum.lowest()
     }
 
     /// The replicated log.
@@ -496,14 +499,12 @@ impl Replica {
                 // verifies. A StateBatch additionally fulfils the fetch
                 // expectation, which flows through the detector below.
                 self.adopt_entries(ctx.now(), entries, &mut outs);
-                if let Some(origin) = Some(link_sender) {
-                    let fd_out = self.fd.on_receive(
-                        ctx.now(),
-                        origin,
-                        XpMsg::StateBatch { entries: Vec::new() },
-                    );
-                    self.pump_fd(ctx.now(), fd_out, &mut outs);
-                }
+                let fd_out = self.fd.on_receive(
+                    ctx.now(),
+                    link_sender,
+                    XpMsg::StateBatch { entries: Vec::new() },
+                );
+                self.pump_fd(ctx.now(), fd_out, &mut outs);
                 self.sync_progress(ctx.now(), &mut outs);
             }
             XpMsg::SyncQuery { watermark } => {
@@ -614,7 +615,7 @@ impl Replica {
     /// silent.
     fn heartbeat_tick(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
         outs.timers.push((self.rcfg.heartbeat_period, TIMER_HEARTBEAT));
-        let members = *self.views.group(self.effective_view()).members();
+        let members = *self.group_of(self.effective_view()).members();
         if !members.contains(self.me) {
             return;
         }
@@ -841,7 +842,7 @@ impl Replica {
         let embedded_ok = (admitted.is_some() || self.verifier.verify(embedded).is_ok())
             && embedded.payload.view == sc.payload.view
             && embedded.payload.slot == sc.payload.slot
-            && embedded.signer == self.views.leader(sc.payload.view)
+            && embedded.signer == self.group_of(sc.payload.view).lowest()
             && sc.payload.digest == admitted.unwrap_or_else(|| embedded.payload.batch.digest());
         if !embedded_ok {
             self.detect(now, sc.signer, outs);
@@ -868,7 +869,7 @@ impl Replica {
         if let Some(mine) = self.log.prepare_at(slot) {
             if mine.payload.view == sc.payload.view && mine.payload != sc.payload.prepare.payload
             {
-                self.detect(now, self.views.leader(sc.payload.view), outs);
+                self.detect(now, self.group_of(sc.payload.view).lowest(), outs);
                 return;
             }
         }
@@ -909,7 +910,7 @@ impl Replica {
         if !had_prepare {
             // Fig. 3: COMMIT overtook the PREPARE — expect the PREPARE
             // from the leader (third subtlety).
-            let leader = self.views.leader(view);
+            let leader = self.group_of(view).lowest();
             self.fd.expect(now, leader, "overtaken-prepare", move |m| {
                 matches!(
                     m,
@@ -936,8 +937,9 @@ impl Replica {
             return; // compacted below a stable checkpoint — old news
         }
         let view = sp.payload.view;
-        let leader = self.views.leader(view);
-        let members = *self.views.group(view).members();
+        let quorum = self.group_of(view);
+        let leader = quorum.lowest();
+        let members = *quorum.members();
         if let Some(existing) = self.log.slot(slot) {
             if existing.decided {
                 if existing.prepare.payload.batch == sp.payload.batch {
@@ -1011,8 +1013,8 @@ impl Replica {
     }
 
     fn try_decide_and_execute(&mut self, now: qsel_simnet::SimTime, slot: u64, outs: &mut Outs) {
-        let quorum = self.views.group(self.view);
-        let leader = self.views.leader(self.view);
+        let quorum = self.quorum;
+        let leader = quorum.lowest();
         if self
             .log
             .try_decide(slot, quorum.members(), leader, self.me)
@@ -1067,6 +1069,17 @@ impl Replica {
     // View change
     // ------------------------------------------------------------------
 
+    /// The quorum of `view`: the cached one for the current view, else
+    /// computed by [`ViewPolicy::group`].
+    fn group_of(&self, view: u64) -> Quorum {
+        if view == self.view {
+            debug_assert_eq!(self.quorum, self.views.group(view));
+            self.quorum
+        } else {
+            self.views.group(view)
+        }
+    }
+
     fn effective_view(&self) -> u64 {
         match self.phase {
             Phase::Normal => self.view,
@@ -1109,7 +1122,7 @@ impl Replica {
         // change to the *culprit member* rather than to the (possibly
         // correct and merely blocked) new leader — keeping the failure
         // detector accurate (§IV-B accuracy requirements).
-        let members = *self.views.group(target).members();
+        let members = *self.group_of(target).members();
         let collected = self.collected_vc.entry(target).or_default();
         for k in members.iter() {
             if k == self.me || collected.contains_key(&k) {
@@ -1163,12 +1176,12 @@ impl Replica {
         if self.phase != (Phase::ViewChange { target }) {
             return;
         }
-        let members = *self.views.group(target).members();
+        let quorum = self.group_of(target);
         let collected = self.collected_vc.entry(target).or_default();
-        if !members.iter().all(|k| collected.contains_key(&k)) {
+        if !quorum.iter().all(|k| collected.contains_key(&k)) {
             return;
         }
-        let leader = self.views.leader(target);
+        let leader = quorum.lowest();
         if leader != self.me {
             if !self.nv_expected {
                 self.nv_expected = true;
@@ -1234,7 +1247,7 @@ impl Replica {
     // lint: allow(S1, σ_l verified by authenticate in handle_message; the embedded re-proposals are re-verified below)
     fn on_new_view(&mut self, now: qsel_simnet::SimTime, nv: SignedNewView, outs: &mut Outs) {
         let target = nv.payload.view;
-        if nv.signer != self.views.leader(target) {
+        if nv.signer != self.group_of(target).lowest() {
             return;
         }
         let acceptable = match self.phase {
@@ -1261,6 +1274,7 @@ impl Replica {
     fn install_new_view(&mut self, now: qsel_simnet::SimTime, nv: SignedNewView, outs: &mut Outs) {
         let target = nv.payload.view;
         self.view = target;
+        self.quorum = self.views.group(target);
         self.phase = Phase::Normal;
         self.vc_gen += 1; // invalidates any pending stall timer
         self.stats.views_installed += 1;
@@ -1272,7 +1286,7 @@ impl Replica {
         self.collected_vc.remove(&target);
         let fd_out = self.fd.cancel_all(now);
         self.pump_fd(now, fd_out, outs);
-        let in_quorum = self.views.group(target).contains(self.me);
+        let in_quorum = self.quorum.contains(self.me);
         let base = nv.payload.base;
         if self.log.watermark() < base {
             // Slots below `base` are decided elsewhere: fetch their
@@ -1280,7 +1294,7 @@ impl Replica {
             // answers a StateFetch (possibly with an empty batch), so the
             // expectation below is accuracy-safe.
             let from_slot = self.log.watermark();
-            let members = *self.views.group(target).members();
+            let members = *self.quorum.members();
             let min = self.rcfg.view_change_timeout;
             for k in members.iter() {
                 if k == self.me {
@@ -1471,13 +1485,13 @@ impl Replica {
             return false;
         }
         let view = sp.payload.view;
-        let leader = self.views.leader(view);
+        let quorum = self.group_of(view);
+        let leader = quorum.lowest();
         if sp.signer != leader {
             return false;
         }
-        let members = *self.views.group(view).members();
         let digest = sp.payload.batch.digest();
-        members.iter().filter(|k| *k != leader).all(|k| {
+        quorum.iter().filter(|k| *k != leader).all(|k| {
             entry.commits.iter().any(|c| {
                 c.signer == k
                     && c.payload.view == view
@@ -2233,8 +2247,8 @@ impl Replica {
                     // §V-B: jump to the view of the selected quorum,
                     // suspecting all quorums ordered before it.
                     let already = match self.phase {
-                        Phase::Normal => self.views.group(self.view) == q,
-                        Phase::ViewChange { target } => self.views.group(target) == q,
+                        Phase::Normal => self.quorum == q,
+                        Phase::ViewChange { target } => self.group_of(target) == q,
                     };
                     if !already {
                         let target = self.views.view_for_quorum(self.effective_view(), &q);

@@ -3,11 +3,15 @@
 //! (commit client operations) whenever a correct quorum can be selected.
 
 use qsel_obs::{TraceEvent, TraceSink};
-use qsel_simnet::{LinkState, SimDuration, SimTime};
+use qsel_simnet::{LinkState, SimDuration, SimTime, Simulation};
+use qsel_types::crypto::Keychain;
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{assert_safety, total_committed, ClusterBuilder, Equivocator, XpActor};
-use qsel_xpaxos::messages::{Batch, CommitPayload, PreparePayload, Request, SignedPrepare, XpMsg};
+use qsel_xpaxos::messages::{
+    Batch, CommitPayload, PreparePayload, Request, SignedCommit, SignedPrepare, XpMsg,
+};
 use qsel_xpaxos::replica::{QuorumPolicy, ReplicaConfig};
+use qsel_xpaxos::ViewPolicy;
 
 fn cfg(n: u32, f: u32) -> ClusterConfig {
     ClusterConfig::new(n, f).unwrap()
@@ -355,6 +359,127 @@ fn commit_embedding_admitted_payload_with_a_forged_tag_detects_the_sender() {
     });
     assert_eq!(detections(&sink, 2, 3), 1);
     assert_eq!(detections(&sink, 2, 1), 0);
+}
+
+/// `commit_vote` events at `p` for `slot` counting a vote from `from`.
+fn commit_votes(sink: &TraceSink, p: u32, slot: u64, from: u32) -> usize {
+    sink.records()
+        .iter()
+        .filter(|r| {
+            matches!(r.event, TraceEvent::CommitVote { p: q, slot: s, from: f, .. }
+                if (q, s, f) == (p, slot, from))
+        })
+        .count()
+}
+
+/// p3's genuine COMMIT for slot 0, which p2 and the other members have
+/// already checked, is re-sent to p2 after `forge` rewrites it but keeps
+/// its tag. The cluster's keychain is captured through `build_with`, so
+/// the tag is in the very memo p2 verifies against. Returns the trace and
+/// the simulation after the forgery was delivered.
+fn memoised_commit_forgery(
+    forge: impl FnOnce(SignedCommit, &Keychain) -> SignedCommit,
+) -> (TraceSink, Simulation<XpMsg, XpActor>) {
+    let sink = TraceSink::unbounded();
+    let mut chain = None;
+    let mut sim = ClusterBuilder::new(cfg(4, 1), 5)
+        .clients(1, 1)
+        .trace_sink(sink.clone())
+        .build_with(|_, c| {
+            chain.get_or_insert_with(|| c.clone());
+            None
+        });
+    let chain = chain.unwrap();
+    sim.run_until(SimTime::from_micros(5_000));
+    assert_eq!(total_committed(&sim), 1);
+    let p2 = sim.actor(ProcessId(2)).replica().unwrap();
+    let genuine = p2.log().slot(0).unwrap().commits[&ProcessId(3)].clone();
+    let hits = chain.stats().memo_hits;
+    assert!(chain.verifier().verify(&genuine).is_ok());
+    assert_eq!(chain.stats().memo_hits, hits + 1, "the genuine tag is memoised");
+    let forged = forge(genuine.clone(), &chain);
+    assert_eq!(forged.tag, genuine.tag);
+    let now = sim.now();
+    sim.inject_at(now, ProcessId(3), ProcessId(2), XpMsg::Commit(forged));
+    sim.run_until(now + SimDuration::millis(1));
+    (sink, sim)
+}
+
+#[test]
+fn memoised_commit_tag_on_another_slot_is_rejected() {
+    // Slot 1 is undecided and the embedded PREPARE is a genuine one for
+    // it, so only the COMMIT's own tag stands between this forgery and a
+    // vote from p3. It must fail at `authenticate`: no vote, and no
+    // detection either (that would mean it got past the signature).
+    let (sink, sim) = memoised_commit_forgery(|mut c, chain| {
+        c.payload.slot = 1;
+        c.payload.prepare = chain.signer(ProcessId(1)).sign(PreparePayload {
+            view: 0,
+            slot: 1,
+            batch: c.payload.prepare.payload.batch.clone(),
+        });
+        c
+    });
+    assert_eq!(commit_votes(&sink, 2, 1, 3), 0);
+    assert_eq!(detections(&sink, 2, 3), 0);
+    let p2 = sim.actor(ProcessId(2)).replica().unwrap();
+    assert!(p2.log().slot(1).is_none());
+}
+
+#[test]
+fn memoised_commit_tag_under_another_signer_is_rejected() {
+    // Accepted, the COMMIT would be recorded at decided slot 0 under p4.
+    let (sink, sim) = memoised_commit_forgery(|c, _| SignedCommit {
+        signer: ProcessId(4),
+        ..c
+    });
+    assert_eq!(commit_votes(&sink, 2, 0, 4), 0);
+    assert_eq!(detections(&sink, 2, 4), 0);
+    let p2 = sim.actor(ProcessId(2)).replica().unwrap();
+    assert!(!p2.log().slot(0).unwrap().commits.contains_key(&ProcessId(4)));
+}
+
+/// `active_quorum()` and `leader()` of every replica match the view
+/// policy's quorum for its current view.
+fn assert_quorum_matches_view(sim: &Simulation<XpMsg, XpActor>, c: ClusterConfig) {
+    let views = ViewPolicy::new(&c);
+    for p in c.processes() {
+        let r = sim.actor(p).replica().unwrap();
+        let q = views.group(r.view());
+        assert_eq!(r.active_quorum(), q, "at {p}, view {}", r.view());
+        assert_eq!(r.leader(), q.lowest(), "at {p}, view {}", r.view());
+    }
+}
+
+#[test]
+fn cached_quorum_follows_view_changes_and_restarts() {
+    let c = cfg(4, 1);
+    let mut sim = ClusterBuilder::new(c, 211)
+        .replica_config(selection())
+        .clients(1, 16)
+        .build();
+    sim.start();
+    sim.run_until(SimTime::from_micros(50_000));
+    assert_quorum_matches_view(&sim, c);
+    sim.crash(ProcessId(2));
+    sim.run_until(SimTime::from_micros(800_000));
+    assert_quorum_matches_view(&sim, c);
+    // p4 crashes and restarts after installing a later view: the view and
+    // its cached quorum survive the restart together.
+    let view = sim.actor(ProcessId(4)).replica().unwrap().view();
+    assert!(view > 0, "the crash of p2 forced a view change");
+    sim.crash(ProcessId(4));
+    sim.run_until(SimTime::from_micros(820_000));
+    sim.restart(ProcessId(4));
+    assert_eq!(sim.actor(ProcessId(4)).replica().unwrap().view(), view);
+    assert_quorum_matches_view(&sim, c);
+    sim.run_until(SimTime::from_micros(1_200_000));
+    assert_quorum_matches_view(&sim, c);
+    sim.restart(ProcessId(2));
+    sim.run_until(SimTime::from_micros(3_000_000));
+    assert_eq!(total_committed(&sim), 16);
+    assert_safety(&sim);
+    assert_quorum_matches_view(&sim, c);
 }
 
 #[test]

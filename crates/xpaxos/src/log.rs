@@ -2,6 +2,7 @@
 //! execution, checkpoint-driven compaction, and the MMR that
 //! authenticates compacted history.
 
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use qsel_mmr::{leaf_hash, Mmr, MmrError};
@@ -18,6 +19,74 @@ fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64>, prepare: &SignedP
     }
 }
 
+/// A slot's signed COMMITs, at most one per signer, kept ascending by
+/// signer so `certificate()` emits them in signer order — certificates
+/// cross the network and must not leak arrival order into message bytes.
+/// A slot holds a quorum's handful of votes, so a sorted `Vec` searched
+/// by binary search replaces a map node per slot.
+#[derive(Clone, Debug, Default)]
+pub struct Commits(Vec<SignedCommit>);
+
+impl Commits {
+    fn position(&self, signer: ProcessId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&signer, |c| c.signer)
+    }
+
+    /// The commit recorded for `signer`.
+    pub fn get(&self, signer: &ProcessId) -> Option<&SignedCommit> {
+        self.position(*signer).ok().and_then(|i| self.0.get(i))
+    }
+
+    /// Whether `signer` has a recorded commit.
+    pub fn contains_key(&self, signer: &ProcessId) -> bool {
+        self.position(*signer).is_ok()
+    }
+
+    /// Number of signers with a recorded commit.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no commit is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Records `commit`, replacing an earlier one by the same signer.
+    /// Returns `true` if the signer had no commit recorded before.
+    pub fn insert(&mut self, commit: SignedCommit) -> bool {
+        match self.position(commit.signer) {
+            Ok(i) => {
+                self.0[i] = commit;
+                false
+            }
+            Err(i) => {
+                self.0.insert(i, commit);
+                true
+            }
+        }
+    }
+
+    /// The commits in ascending signer order.
+    pub fn values(&self) -> std::slice::Iter<'_, SignedCommit> {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<SignedCommit> for Commits {
+    /// Keeps the last commit per signer, as collecting into a map keyed
+    /// by signer would.
+    fn from_iter<I: IntoIterator<Item = SignedCommit>>(iter: I) -> Self {
+        let mut commits: Vec<SignedCommit> = iter.into_iter().collect();
+        // The sort is stable, so on reversed input each signer's last
+        // commit leads its run and survives the dedup.
+        commits.reverse();
+        commits.sort_by_key(|c| c.signer);
+        commits.dedup_by_key(|c| c.signer);
+        Commits(commits)
+    }
+}
+
 /// Per-slot state.
 #[derive(Clone, Debug)]
 pub struct Slot {
@@ -25,10 +94,8 @@ pub struct Slot {
     /// it).
     pub prepare: SignedPrepare,
     /// Signed COMMITs received, by sender (kept whole so decided slots
-    /// carry a transferable certificate). Ordered so `certificate()`
-    /// emits commits in signer order — certificates cross the network
-    /// and must not leak iteration order into message bytes.
-    pub commits: BTreeMap<ProcessId, SignedCommit>,
+    /// carry a transferable certificate).
+    pub commits: Commits,
     /// Whether we broadcast our own COMMIT for this slot.
     pub committed_by_us: bool,
     /// Whether the commit certificate is complete.
@@ -39,12 +106,13 @@ pub struct Slot {
 }
 
 impl Slot {
-    // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
-    fn new(prepare: SignedPrepare) -> Self {
+    /// A fresh slot for `prepare`, whose batch digest the caller has
+    /// already computed.
+    fn new(prepare: SignedPrepare, digest: Digest) -> Self {
         Slot {
-            digest: prepare.payload.batch.digest(),
+            digest,
             prepare,
-            commits: BTreeMap::new(),
+            commits: Commits::default(),
             committed_by_us: false,
             decided: false,
         }
@@ -74,9 +142,14 @@ pub struct Log {
     // lint: allow(D1, membership-only dedup set; never iterated)
     executed_ops: HashSet<(ProcessId, u64)>,
     /// Merkle mountain range over executed batch digests: leaf `i` is
-    /// `leaf_hash(i, batch_i.digest())`, appended as the cursor passes
-    /// slot `i`, so `mmr.leaf_count() == exec_cursor` always.
-    mmr: Mmr,
+    /// `leaf_hash(i, batch_i.digest())`. It is folded lazily: the forest
+    /// holds the leaves up to its last read and `pending` the rest, so
+    /// `mmr.leaf_count() + pending.len() == exec_cursor` always, and
+    /// every read folds `pending` in first ([`Log::fold`]).
+    mmr: RefCell<Mmr>,
+    /// Batch digests of the slots executed since the last fold, in slot
+    /// order. Never lent out, so taking it cannot conflict with a borrow.
+    pending: RefCell<Vec<Digest>>,
     /// Batches of garbage-collected slots kept for serving incremental
     /// state transfer, bounded by the GC policy's `archive_retain`.
     archive: BTreeMap<u64, Batch>,
@@ -117,9 +190,8 @@ impl Log {
         match self.slots.get_mut(&slot_no) {
             None => {
                 assign_batch(&mut self.assigned, &prepare);
-                let slot = Slot::new(prepare);
-                let digest = slot.digest;
-                self.slots.insert(slot_no, slot);
+                let digest = prepare.payload.batch.digest();
+                self.slots.insert(slot_no, Slot::new(prepare, digest));
                 Some(digest)
             }
             Some(existing) => {
@@ -130,8 +202,9 @@ impl Log {
                 {
                     // Re-proposal in a later view supersedes.
                     assign_batch(&mut self.assigned, &prepare);
-                    *existing = Slot::new(prepare);
-                    Some(existing.digest)
+                    let digest = prepare.payload.batch.digest();
+                    *existing = Slot::new(prepare, digest);
+                    Some(digest)
                 } else {
                     None
                 }
@@ -156,16 +229,14 @@ impl Log {
         }
     }
 
-    /// Records a signed COMMIT. Returns `true` if its digest matches the
-    /// accepted prepare's batch digest.
-    // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
+    /// Records a signed COMMIT for a slot that holds a prepare, replacing
+    /// an earlier one by the same signer. Returns `true` if it is the
+    /// signer's first recorded vote for the slot; whether its digest
+    /// matches is the commit rule's business ([`Log::try_decide`]).
     pub fn record_commit(&mut self, slot: u64, commit: SignedCommit) -> bool {
-        let Some(s) = self.slots.get_mut(&slot) else {
-            return false;
-        };
-        let matches = s.digest == commit.payload.digest;
-        s.commits.insert(commit.signer, commit);
-        matches
+        self.slots
+            .get_mut(&slot)
+            .is_some_and(|s| s.commits.insert(commit))
     }
 
     /// Checks the commit rule: PREPARE present and matching COMMITs from
@@ -211,21 +282,20 @@ impl Log {
             if !s.decided {
                 break;
             }
-            let batch_digest = s.digest;
-            for req in s.prepare.payload.batch.reqs.clone() {
+            for req in &s.prepare.payload.batch.reqs {
                 if self.executed_ops.insert((req.client, req.op)) {
                     self.state = self
                         .state
                         .wrapping_mul(1099511628211)
                         .wrapping_add(req.payload);
                     out.push((self.exec_cursor, req.clone()));
-                    self.executed.push((self.exec_cursor, req));
                 }
             }
-            self.mmr.push(leaf_hash(self.exec_cursor, &batch_digest));
+            self.pending.get_mut().push(s.digest);
             self.exec_cursor += 1;
             self.maybe_capture_checkpoint();
         }
+        self.executed.extend_from_slice(&out);
         out
     }
 
@@ -267,10 +337,16 @@ impl Log {
     }
 
     /// Adopts a verified decided entry (state transfer / lazy
-    /// replication): stores the prepare with its commit certificate and
-    /// marks the slot decided. A conflicting *decided* entry is never
-    /// overwritten; returns `false` in that case.
-    pub fn adopt_decided(&mut self, prepare: SignedPrepare, commits: Vec<SignedCommit>) -> bool {
+    /// replication): stores the prepare, whose batch digest `digest` the
+    /// caller computed while verifying, with its commit certificate (the
+    /// last commit per signer) and marks the slot decided. A conflicting
+    /// *decided* entry is never overwritten; returns `false` in that case.
+    pub fn adopt_decided(
+        &mut self,
+        prepare: SignedPrepare,
+        commits: Vec<SignedCommit>,
+        digest: Digest,
+    ) -> bool {
         let slot_no = prepare.payload.slot;
         match self.slots.get_mut(&slot_no) {
             Some(existing) if existing.decided => {
@@ -278,9 +354,9 @@ impl Log {
             }
             existing => {
                 assign_batch(&mut self.assigned, &prepare);
-                let mut slot = Slot::new(prepare);
+                let mut slot = Slot::new(prepare, digest);
                 slot.decided = true;
-                slot.commits = commits.into_iter().map(|c| (c.signer, c)).collect();
+                slot.commits = commits.into_iter().collect();
                 match existing {
                     Some(e) => *e = slot,
                     None => {
@@ -325,14 +401,10 @@ impl Log {
         if !self.exec_cursor.is_multiple_of(self.ckpt_interval) {
             return;
         }
-        // Infallible by the `mmr.leaf_count() == exec_cursor` invariant;
-        // if it ever failed we would rather skip a checkpoint than panic.
-        if let Ok(peaks) = self.mmr.peaks() {
-            self.pending_ckpts.push(CheckpointPayload {
-                slot: self.exec_cursor,
-                state: self.state,
-                peaks,
-            });
+        // Infallible by the fold invariant; if it ever failed we would
+        // rather skip a checkpoint than panic.
+        if let Ok(payload) = self.checkpoint_payload() {
+            self.pending_ckpts.push(payload);
         }
     }
 
@@ -354,7 +426,6 @@ impl Log {
             return None;
         }
         let mut out = Vec::new();
-        let batch_digest = batch.digest();
         for req in &batch.reqs {
             self.assigned.insert((req.client, req.op), slot);
             if self.executed_ops.insert((req.client, req.op)) {
@@ -363,19 +434,44 @@ impl Log {
                     .wrapping_mul(1099511628211)
                     .wrapping_add(req.payload);
                 out.push((slot, req.clone()));
-                self.executed.push((slot, req.clone()));
             }
         }
-        self.mmr.push(leaf_hash(slot, &batch_digest));
+        self.executed.extend_from_slice(&out);
+        self.pending.get_mut().push(batch.digest());
         self.exec_cursor += 1;
         self.archive.insert(slot, batch.clone());
         self.maybe_capture_checkpoint();
         Some(out)
     }
 
-    /// The MMR over the executed prefix (read access for proof serving).
-    pub fn mmr(&self) -> &Mmr {
-        &self.mmr
+    /// The MMR over the executed prefix (read access for proof serving),
+    /// folded up to the cursor first.
+    pub fn mmr(&self) -> Ref<'_, Mmr> {
+        self.fold();
+        self.mmr.borrow()
+    }
+
+    /// Appends the leaves of the slots executed since the last fold, in
+    /// slot order, so readers see exactly the forest an eager append per
+    /// executed slot would have built. With checkpointing off nothing
+    /// reads the forest on the normal path, so this never runs there.
+    fn fold(&self) {
+        let pending = self.pending.take();
+        if pending.is_empty() {
+            return;
+        }
+        // Pending leaves exist only after a `&mut self` call, which ended
+        // every `Ref` handed out by `mmr()`, so this borrow cannot clash.
+        let mut mmr = self.mmr.borrow_mut();
+        debug_assert_eq!(
+            mmr.leaf_count() + pending.len() as u64,
+            self.exec_cursor,
+            "forest plus pending leaves must cover the executed prefix"
+        );
+        for d in &pending {
+            let leaf = leaf_hash(mmr.leaf_count(), d);
+            mmr.push(leaf);
+        }
     }
 
     /// Slots currently resident in the live map — the quantity the GC
@@ -416,13 +512,13 @@ impl Log {
     /// # Errors
     ///
     /// Propagates [`MmrError`] — only reachable if the forest somehow
-    /// lacks its own current peaks, which the `mmr.leaf_count() ==
-    /// exec_cursor` invariant rules out.
+    /// lacks its own current peaks, which the fold invariant
+    /// (`mmr.leaf_count() + pending.len() == exec_cursor`) rules out.
     pub fn checkpoint_payload(&self) -> Result<CheckpointPayload, MmrError> {
         Ok(CheckpointPayload {
             slot: self.exec_cursor,
             state: self.state,
-            peaks: self.mmr.peaks()?,
+            peaks: self.mmr().peaks()?,
         })
     }
 
@@ -472,8 +568,8 @@ impl Log {
         if ckpt.slot <= self.exec_cursor {
             return Ok(());
         }
-        let mmr = Mmr::from_peaks(ckpt.slot, &ckpt.peaks)?;
-        self.mmr = mmr;
+        *self.mmr.get_mut() = Mmr::from_peaks(ckpt.slot, &ckpt.peaks)?;
+        self.pending.get_mut().clear();
         self.slots = self.slots.split_off(&ckpt.slot);
         self.archive.clear();
         self.gc_floor = self.gc_floor.max(ckpt.slot);
@@ -487,10 +583,12 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsel_types::crypto::Keychain;
+    use proptest::prelude::*;
+    use qsel_types::crypto::{sha256, Keychain};
+    use qsel_types::encode::encode_to_vec;
     use qsel_types::ClusterConfig;
 
-    use crate::messages::{Batch, PreparePayload};
+    use crate::messages::{Batch, DecidedEntry, PreparePayload};
 
     fn chain() -> Keychain {
         Keychain::new(&ClusterConfig::new(4, 1).unwrap(), 1)
@@ -592,7 +690,8 @@ mod tests {
         log.accept_prepare(p);
         log.mark_committed_by_us(0);
         let p0 = log.prepare_at(0).unwrap().clone();
-        assert!(!log.record_commit(0, commit_for(&c, 3, &p0, wrong)));
+        // Recorded as signer 3's first vote; the commit rule rejects it.
+        assert!(log.record_commit(0, commit_for(&c, 3, &p0, wrong)));
         let quorum: ProcessSet = [1, 2, 3].into_iter().map(ProcessId).collect();
         assert!(!log.try_decide(0, &quorum, ProcessId(1), ProcessId(2)));
     }
@@ -706,5 +805,213 @@ mod tests {
             log.state
         };
         assert_eq!(run(), run());
+    }
+
+    /// Adopts `prepare` as decided with `commits`, hashing its batch as
+    /// the replica's certificate check would.
+    fn adopt(log: &mut Log, prepare: SignedPrepare, commits: Vec<SignedCommit>) -> bool {
+        let digest = prepare.payload.batch.digest();
+        log.adopt_decided(prepare, commits, digest)
+    }
+
+    fn signers(log: &Log, slot: u64) -> Vec<(u32, Digest)> {
+        log.slot(slot).map_or(Vec::new(), |s| {
+            s.commits
+                .values()
+                .map(|c| (c.signer.0, c.payload.digest))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn commits_stay_in_signer_order_and_replace_per_signer() {
+        let c = chain();
+        let mut log = Log::new();
+        let p = prep(&c, 1, 0, 0, 5);
+        let d = p.payload.batch.digest();
+        let wrong = prep(&c, 1, 0, 0, 6).payload.batch.digest();
+        log.accept_prepare(p.clone());
+        assert!(log.record_commit(0, commit_for(&c, 3, &p, wrong)));
+        assert!(log.record_commit(0, commit_for(&c, 2, &p, d)));
+        assert!(!log.record_commit(0, commit_for(&c, 3, &p, d)));
+        assert!(
+            !log.record_commit(7, commit_for(&c, 3, &p, d)),
+            "no prepare at slot 7"
+        );
+        assert_eq!(signers(&log, 0), vec![(2, d), (3, d)]);
+        let commits = &log.slot(0).unwrap().commits;
+        assert!(commits.contains_key(&ProcessId(2)) && !commits.contains_key(&ProcessId(1)));
+        assert_eq!(
+            commits.get(&ProcessId(3)).map(|c| c.payload.digest),
+            Some(d)
+        );
+    }
+
+    #[test]
+    fn adopt_decided_keeps_the_last_commit_per_signer_in_signer_order() {
+        let c = chain();
+        let p = prep(&c, 1, 0, 0, 5);
+        let d = p.payload.batch.digest();
+        let wrong = prep(&c, 1, 0, 0, 6).payload.batch.digest();
+        let mut log = Log::new();
+        let commits = vec![
+            commit_for(&c, 3, &p, d),
+            commit_for(&c, 2, &p, wrong),
+            commit_for(&c, 1, &p, d),
+            commit_for(&c, 3, &p, wrong),
+            commit_for(&c, 2, &p, d),
+        ];
+        assert!(adopt(&mut log, p, commits));
+        assert_eq!(signers(&log, 0), vec![(1, d), (2, d), (3, wrong)]);
+        assert_eq!(log.slot(0).map(Slot::digest), Some(d));
+    }
+
+    /// The wire bytes of transferred certificates, pinned: both a live
+    /// certificate built from out-of-order votes and an adopted one from
+    /// duplicate, unsorted signers encode exactly as they did when
+    /// commits were kept in a map keyed by signer.
+    #[test]
+    fn certificate_wire_bytes_are_pinned() {
+        let c = chain();
+        let quorum: ProcessSet = [1, 2, 3].into_iter().map(ProcessId).collect();
+        let p = prep(&c, 1, 0, 0, 5);
+        let d = p.payload.batch.digest();
+        let wrong = prep(&c, 1, 0, 0, 6).payload.batch.digest();
+        let hex_of = |log: &Log| {
+            let (prepare, commits) = log.certificate(0).unwrap();
+            sha256(&encode_to_vec(&DecidedEntry { prepare, commits })).to_string()
+        };
+
+        let mut live = Log::new();
+        live.accept_prepare(p.clone());
+        live.record_commit(0, commit_for(&c, 3, &p, wrong));
+        live.record_commit(0, commit_for(&c, 2, &p, d));
+        live.record_commit(0, commit_for(&c, 3, &p, d));
+        assert!(live.try_decide(0, &quorum, ProcessId(1), ProcessId(4)));
+        assert_eq!(
+            hex_of(&live),
+            "74acda12a8f7ff3f6e12812467792c156534a9902b926dec907757d88dde5d5d"
+        );
+
+        let mut adopted = Log::new();
+        let commits = vec![
+            commit_for(&c, 3, &p, wrong),
+            commit_for(&c, 2, &p, d),
+            commit_for(&c, 1, &p, d),
+            commit_for(&c, 3, &p, d),
+        ];
+        adopt(&mut adopted, p, commits);
+        assert_eq!(
+            hex_of(&adopted),
+            "5e6503543555aac3021f524ad57586959c2eb577acb80065953eb5861eb4a4eb"
+        );
+    }
+
+    #[test]
+    fn forest_stays_unfolded_until_first_read() {
+        let c = chain();
+        let mut log = Log::new();
+        let mut eager = Mmr::new();
+        for slot in 0..1000u64 {
+            let p = prep(&c, 1, 0, slot, slot);
+            eager.push(leaf_hash(slot, &p.payload.batch.digest()));
+            adopt(&mut log, p, Vec::new());
+            log.execute_ready();
+        }
+        assert_eq!(log.exec_cursor, 1000);
+        assert_eq!(log.mmr.borrow().leaf_count(), 0, "no read yet, no fold");
+        assert_eq!(log.pending.borrow().len(), 1000);
+        assert_eq!(log.mmr().root(), eager.root());
+        assert_eq!(log.mmr.borrow().leaf_count(), 1000);
+        assert!(log.pending.borrow().is_empty());
+    }
+
+    /// Slots of the fixed history the lazy-fold property draws from.
+    const HISTORY: u64 = 256;
+
+    /// Checks a read of the lazily folded forest against the eagerly
+    /// built one: size, peaks, root, and one proof picked by `pick`.
+    fn same_forest(lazy: &Mmr, eager: &Mmr, pick: u64) -> Result<(), TestCaseError> {
+        prop_assert_eq!(lazy.leaf_count(), eager.leaf_count());
+        prop_assert_eq!(lazy.peaks(), eager.peaks());
+        prop_assert_eq!(lazy.root(), eager.root());
+        if eager.leaf_count() > 0 {
+            let size = pick % eager.leaf_count() + 1;
+            let leaf = (pick >> 8) % size;
+            prop_assert_eq!(lazy.proof_at(leaf, size), eager.proof_at(leaf, size));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random interleavings of execution, compact application and
+        /// checkpoint installs with every kind of read: each read sees
+        /// the forest an eager append per executed slot would have built.
+        #[test]
+        fn lazy_fold_reads_match_an_eager_forest(
+            interval in 0u64..6,
+            ops in proptest::collection::vec((0u8..5, 1u64..20, 0u64..1 << 20), 1..16),
+        ) {
+            let c = chain();
+            let history: Vec<SignedPrepare> =
+                (0..HISTORY).map(|slot| prep(&c, 1, 0, slot, slot * 7)).collect();
+            let mut full = Mmr::new();
+            for (slot, p) in (0u64..).zip(&history) {
+                full.push(leaf_hash(slot, &p.payload.batch.digest()));
+            }
+            let mut log = Log::new();
+            log.set_checkpoint_interval(interval);
+            let mut eager = Mmr::new();
+            for (kind, n, pick) in ops {
+                let from = log.exec_cursor;
+                let to = (from + n).min(HISTORY);
+                let slots = (from..to).zip(&history[from as usize..to as usize]);
+                match kind {
+                    0 => {
+                        for (_, p) in slots.clone() {
+                            adopt(&mut log, p.clone(), Vec::new());
+                        }
+                        log.execute_ready();
+                        for (slot, p) in slots {
+                            eager.push(leaf_hash(slot, &p.payload.batch.digest()));
+                        }
+                    }
+                    1 => {
+                        for (slot, p) in slots {
+                            prop_assert!(log.apply_compact(slot, &p.payload.batch).is_some());
+                            eager.push(leaf_hash(slot, &p.payload.batch.digest()));
+                        }
+                    }
+                    2 => {
+                        let peaks = full.peaks_at(to).unwrap();
+                        let ckpt = CheckpointPayload { slot: to, state: 0, peaks };
+                        prop_assert!(log.install_checkpoint(&ckpt).is_ok());
+                        if to > from {
+                            eager = Mmr::from_peaks(to, &ckpt.peaks).unwrap();
+                        }
+                    }
+                    3 => {
+                        let shared: &Log = &log;
+                        let first = shared.mmr();
+                        let second = shared.mmr();
+                        same_forest(&first, &eager, pick)?;
+                        same_forest(&second, &eager, pick >> 4)?;
+                    }
+                    _ => {
+                        let payload = log.checkpoint_payload().unwrap();
+                        prop_assert_eq!(payload.slot, log.exec_cursor);
+                        prop_assert_eq!(Ok(payload.peaks), eager.peaks());
+                    }
+                }
+                prop_assert_eq!(log.exec_cursor, eager.leaf_count());
+                for ckpt in log.take_pending_checkpoints() {
+                    prop_assert!(interval > 0 && ckpt.slot % interval == 0);
+                    prop_assert_eq!(Ok(ckpt.peaks), full.peaks_at(ckpt.slot));
+                }
+            }
+            same_forest(&log.mmr(), &eager, 0)?;
+        }
     }
 }

@@ -26,7 +26,7 @@ use qsel::{QsOutput, QuorumSelection};
 use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
-use qsel_types::crypto::{Keychain, Signer, Verifier};
+use qsel_types::crypto::{Digest, Keychain, Signer, Verifier};
 use qsel_types::{thresholds, CheckpointPayload, ClusterConfig, ProcessId, Quorum};
 
 use crate::log::{Log, Slot};
@@ -247,7 +247,7 @@ pub struct Replica {
 /// First 8 bytes of a request digest — the compact identity traced with
 /// `Executed` events, which the replay analyzer compares across replicas
 /// for per-slot agreement.
-fn digest_fingerprint(d: &qsel_types::crypto::Digest) -> u64 {
+fn digest_fingerprint(d: &Digest) -> u64 {
     // Infallible: `Digest.0` is `[u8; 32]`, so the first eight bytes
     // always exist — destructure instead of a fallible slice conversion.
     let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = d.0;
@@ -890,20 +890,14 @@ impl Replica {
         let from = sc.signer;
         let view = sc.payload.view;
         let prepare = sc.payload.prepare.clone();
-        let fresh_vote = !self
-            .log
-            .slot(slot)
-            .is_some_and(|s| s.commits.contains_key(&from));
-        self.log.record_commit(slot, sc);
-        if fresh_vote {
+        if self.log.record_commit(slot, sc) {
             // Quorum-formation timing: a previously-unseen vote for an
             // undecided slot (the first-to-last gap is the straggler gap).
-            let have = self.log.slot(slot).map_or(0, |s| s.commits.len() as u64);
             self.trace.emit(|| TraceEvent::CommitVote {
                 p: self.me.0,
                 slot,
                 from: from.0,
-                have,
+                have: self.log.slot(slot).map_or(0, |s| s.commits.len() as u64),
             });
         }
         self.process_prepare_locally(now, prepare, outs);
@@ -1445,10 +1439,10 @@ impl Replica {
     /// that became ready.
     fn adopt_entries(&mut self, now: qsel_simnet::SimTime, entries: Vec<DecidedEntry>, outs: &mut Outs) {
         for entry in entries {
-            if !self.verify_certificate(&entry) {
+            let Some(digest) = self.verify_certificate(&entry) else {
                 continue;
-            }
-            self.log.adopt_decided(entry.prepare, entry.commits);
+            };
+            self.log.adopt_decided(entry.prepare, entry.commits, digest);
         }
         for (s, req) in self.log.execute_ready() {
             self.stats.executed += 1;
@@ -1479,19 +1473,21 @@ impl Replica {
     /// leader and every non-leader member of that view's quorum
     /// contributed a matching signed commit — the exact evidence a decided
     /// slot rests on, so not even a Byzantine sender can forge one.
-    fn verify_certificate(&self, entry: &DecidedEntry) -> bool {
+    /// Returns the prepare's batch digest if valid, so adoption need not
+    /// hash the batch again.
+    fn verify_certificate(&self, entry: &DecidedEntry) -> Option<Digest> {
         let sp = &entry.prepare;
         if self.verifier.verify(sp).is_err() {
-            return false;
+            return None;
         }
         let view = sp.payload.view;
         let quorum = self.group_of(view);
         let leader = quorum.lowest();
         if sp.signer != leader {
-            return false;
+            return None;
         }
         let digest = sp.payload.batch.digest();
-        quorum.iter().filter(|k| *k != leader).all(|k| {
+        let certified = quorum.iter().filter(|k| *k != leader).all(|k| {
             entry.commits.iter().any(|c| {
                 c.signer == k
                     && c.payload.view == view
@@ -1499,7 +1495,8 @@ impl Replica {
                     && c.payload.digest == digest
                     && self.verifier.verify(c).is_ok()
             })
-        })
+        });
+        certified.then_some(digest)
     }
 
     // ------------------------------------------------------------------

@@ -393,7 +393,8 @@ fn memoised_commit_forgery(
     sim.run_until(SimTime::from_micros(5_000));
     assert_eq!(total_committed(&sim), 1);
     let p2 = sim.actor(ProcessId(2)).replica().unwrap();
-    let genuine = p2.log().slot(0).unwrap().commits[&ProcessId(3)].clone();
+    let commits = &p2.log().slot(0).unwrap().commits;
+    let genuine = commits.get(&ProcessId(3)).unwrap().clone();
     let hits = chain.stats().memo_hits;
     assert!(chain.verifier().verify(&genuine).is_ok());
     assert_eq!(chain.stats().memo_hits, hits + 1, "the genuine tag is memoised");
